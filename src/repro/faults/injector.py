@@ -17,7 +17,7 @@ path already pays for (or pays nothing for):
 
 All randomness comes from ``random.Random(plan.seed)`` owned here; draws
 occur in kernel-event order, so identical plans replay identically on
-every event-queue and fast-path flavour.  Arming a plan makes the
+every fast-path flavour.  Arming a plan makes the
 session unpoolable — fault state must never leak into a reused cluster.
 """
 

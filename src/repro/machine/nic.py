@@ -24,7 +24,7 @@ from repro.des.resources import ServeChain, Server
 from repro.network.packets import Message, Packet
 from repro.portals.events import PortalsEvent
 from repro.portals.matching import MatchResult
-from repro.portals.types import EventKind
+from repro.portals.types import EventKind, PortalsError
 
 __all__ = ["BaselineNIC"]
 
@@ -668,7 +668,8 @@ class BaselineNIC:
 
     # -- misc ------------------------------------------------------------------
     def _pt_for(self, msg: Message):
+        """The message's portal table entry, or None if it is unallocated."""
         try:
             return self.machine.ni.pt(msg.meta.get("pt_index", 0))
-        except Exception:
+        except PortalsError:
             return None

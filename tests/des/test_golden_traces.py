@@ -77,22 +77,29 @@ def test_timeline_sink_does_not_change_result():
     assert traced == untraced
 
 
+#: ``Timeline.digest()`` of each run, recorded before the event core was cut
+#: down to one heap.  Any change to the kernel's event order, the LogGP
+#: fabric or handler scheduling shows up here across commits; re-pin only
+#: for an intended model change, never for a kernel refactor.
+PINGPONG_DIGESTS = {
+    "rdma": "f9bcf98a1ef9870579ad02a31f05ec7550f13b18dcf9d1612af51afc382178e8",
+    "p4": "93ede91d380a5740c63a83295a3a4bac9833d0749eb1b7408e053d3299dd055c",
+    "spin_store": "012ac2aa920f69736ee3f48d87e88f47d83bcb7cd7edf3da9d3618d5f213e687",
+    "spin_stream": "00a8b4ba73140ff6088bf15936fea6e158a2769c44b7ef589c30e34353de57e0",
+}
+ACCUMULATE_DIGESTS = {
+    "rdma": "fa0f1085cdb1f6fde0642697b68f8bb0c58e1828565cc33639f4626280cb22b4",
+    "spin": "285b69cfe1b99172d8eab5fa6d14ae3a655e925fe86cc918a838c2cdbe5536aa",
+}
+
+
 @pytest.mark.parametrize("mode", PINGPONG_MODES)
-def test_pingpong_trace_identical_across_queue_flavours(mode, monkeypatch):
-    """Calendar and heap queues produce byte-identical traces and values."""
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    v_cal, tl_cal = _pingpong_run(mode)
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    v_heap, tl_heap = _pingpong_run(mode)
-    assert v_cal == v_heap
-    assert tl_cal.canonical_bytes() == tl_heap.canonical_bytes()
+def test_pingpong_trace_matches_pinned_digest(mode):
+    _, tl = _pingpong_run(mode)
+    assert tl.digest() == PINGPONG_DIGESTS[mode]
 
 
-@pytest.mark.parametrize("mode", ("rdma", "spin"))
-def test_accumulate_trace_identical_across_queue_flavours(mode, monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    v_heap, tl_heap = _accumulate_run(mode)
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    v_cal, tl_cal = _accumulate_run(mode)
-    assert v_cal == v_heap
-    assert tl_cal.canonical_bytes() == tl_heap.canonical_bytes()
+@pytest.mark.parametrize("mode", sorted(ACCUMULATE_DIGESTS))
+def test_accumulate_trace_matches_pinned_digest(mode):
+    _, tl = _accumulate_run(mode)
+    assert tl.digest() == ACCUMULATE_DIGESTS[mode]

@@ -1,13 +1,11 @@
-"""Differential tests: calendar queue vs legacy heap, same total order.
+"""Oracle tests: the event heap pops in exact ``(time, priority, seq)`` order.
 
-The calendar queue replaces the binary heap as the kernel's event core; its
-contract is the *identical* ``(time, priority, seq)`` total order.  These
-tests drive randomized schedules — mixed priorities, delays spanning many
-buckets, nested mid-drain scheduling, interleaved cancellations — through
-both flavours and require byte-identical pop logs and event counts.
+Randomized schedules — mixed priorities, delays spanning microseconds,
+nested mid-drain scheduling, interleaved cancellations — run through the
+kernel and are compared against a reference model that keeps its pending
+entries in a plain list and takes ``sorted()``'s first element at every
+step.  Pop logs, event counts and final clocks must agree exactly.
 """
-
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +13,13 @@ from hypothesis import strategies as st
 from repro.des import engine as E
 from repro.des.engine import PRIORITY_NORMAL, PRIORITY_URGENT
 
-#: Delays deliberately straddle several calendar buckets (bucket width is
-#: ``1 << engine._BUCKET_SHIFT`` ps) and include 0 and exact bucket edges.
+#: ~1.05 µs in picoseconds: delays range over several multiples of it and
+#: include 0 and the values either side of its multiples.
+_SPAN = 1 << 20
+
 _DELAY = st.one_of(
-    st.integers(min_value=0, max_value=5 * (1 << E._BUCKET_SHIFT)),
-    st.sampled_from([0, 1, (1 << E._BUCKET_SHIFT) - 1, 1 << E._BUCKET_SHIFT,
-                     (1 << E._BUCKET_SHIFT) + 1, 3 << E._BUCKET_SHIFT]),
+    st.integers(min_value=0, max_value=5 * _SPAN),
+    st.sampled_from([0, 1, _SPAN - 1, _SPAN, _SPAN + 1, 3 * _SPAN]),
 )
 
 _OPS = st.lists(
@@ -29,24 +28,13 @@ _OPS = st.lists(
 )
 
 
-def _make_env(flavour: str) -> E.Environment:
-    """Build an Environment of an explicit queue flavour."""
-    old = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = flavour
-    try:
-        env = E.Environment()
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = old
-    assert env.queue_flavour == flavour
-    return env
+def _nested_delay(tag):
+    return (tag * 7919) % (2 * _SPAN)
 
 
-def _run_schedule(flavour, ops, cancel_every, nested):
-    """One full scheduling scenario on one flavour; returns the pop log."""
-    env = _make_env(flavour)
+def _run_schedule(ops, cancel_every, nested):
+    """One full scheduling scenario on the kernel; returns the pop log."""
+    env = E.Environment()
     log = []
     handles = []
 
@@ -54,10 +42,8 @@ def _run_schedule(flavour, ops, cancel_every, nested):
         def cb():
             log.append((env.now, tag, depth))
             if depth < nested:
-                # Mid-drain push, deterministically derived delay: lands in
-                # the current or a future bucket depending on tag.
-                env.schedule_fn((tag * 7919) % (2 << E._BUCKET_SHIFT),
-                                make_cb(tag, depth + 1))
+                # Mid-drain push with a deterministically derived delay.
+                env.schedule_fn(_nested_delay(tag), make_cb(tag, depth + 1))
         return cb
 
     for i, (delay, prio) in enumerate(ops):
@@ -70,81 +56,89 @@ def _run_schedule(flavour, ops, cancel_every, nested):
     return log, env.events_scheduled, env.now
 
 
+def _oracle(ops, cancel_every, nested):
+    """The same scenario on a sorted-list reference queue."""
+    cancelled = {i for i in range(len(ops))
+                 if cancel_every and i % cancel_every == 0}
+    pending = []
+    seq = 0
+    for i, (delay, prio) in enumerate(ops):
+        seq += 1
+        pending.append((delay, prio, seq, i, 0))
+    log = []
+    now = 0
+    while pending:
+        entry = sorted(pending)[0]
+        pending.remove(entry)
+        now, _prio, _seq, tag, depth = entry
+        if depth == 0 and tag in cancelled:
+            continue  # a cancelled entry still pops and moves the clock
+        log.append((now, tag, depth))
+        if depth < nested:
+            seq += 1
+            pending.append((now + _nested_delay(tag), PRIORITY_NORMAL, seq,
+                            tag, depth + 1))
+    return log, seq, now
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS, cancel_every=st.sampled_from([0, 2, 3]),
        nested=st.integers(min_value=0, max_value=2))
-def test_calendar_and_heap_pop_identically(ops, cancel_every, nested):
-    cal = _run_schedule("calendar", ops, cancel_every, nested)
-    heap = _run_schedule("heap", ops, cancel_every, nested)
-    assert cal == heap  # pop order, events_scheduled, final clock
+def test_heap_pops_in_sorted_order(ops, cancel_every, nested):
+    got = _run_schedule(ops, cancel_every, nested)
+    assert got == _oracle(ops, cancel_every, nested)  # log, count, clock
 
 
 @settings(max_examples=30, deadline=None)
 @given(ops=_OPS)
-def test_timeout_events_identical_across_flavours(ops):
-    """Event-payload scheduling (timeouts + callbacks lists) agrees too."""
-    logs = {}
-    for flavour in ("calendar", "heap"):
-        env = _make_env(flavour)
-        observed = []
-        for i, (delay, _prio) in enumerate(ops):
-            ev = env.timeout(delay, value=i)
-            ev.callbacks.append(
-                lambda e: observed.append((env.now, e.value)))
-        env.run()
-        logs[flavour] = (observed, env.events_scheduled, env.now)
-    assert logs["calendar"] == logs["heap"]
+def test_timeout_events_pop_in_sorted_order(ops):
+    """Event payloads (timeouts + callbacks lists) follow the same order."""
+    env = E.Environment()
+    observed = []
+    for i, (delay, _prio) in enumerate(ops):
+        ev = env.timeout(delay, value=i)
+        ev.callbacks.append(lambda e: observed.append((env.now, e.value)))
+    env.run()
+    assert observed == sorted((delay, i) for i, (delay, _prio) in enumerate(ops))
+    assert env.events_scheduled == len(ops)
+    assert env.now == max(delay for delay, _prio in ops)
 
 
 def test_peek_is_non_mutating():
-    """peek() must not promote a future bucket to current.
-
-    Regression: peek() used to advance the calendar's current bucket, so a
-    subsequent earlier-timestamped push landed in a lower-id far bucket that
-    drained *after* the wrongly-current one — events ran out of order and
-    the clock moved backwards.
-    """
-    for flavour in ("calendar", "heap"):
-        env = _make_env(flavour)
-        log = []
-        env.schedule_fn(5_000_000, lambda: log.append(("far", env.now)))
-        assert env.peek() == 5_000_000
-        assert env.peek() == 5_000_000  # idempotent
-        env.schedule_fn(1_000, lambda: log.append(("near", env.now)))
-        assert env.peek() == 1_000
-        env.run()
-        assert log == [("near", 1_000), ("far", 5_000_000)]
+    """peek() only observes: a later, earlier-timestamped push runs first."""
+    env = E.Environment()
+    log = []
+    env.schedule_fn(5_000_000, lambda: log.append(("far", env.now)))
+    assert env.peek() == 5_000_000
+    assert env.peek() == 5_000_000  # idempotent
+    env.schedule_fn(1_000, lambda: log.append(("near", env.now)))
+    assert env.peek() == 1_000
+    env.run()
+    assert log == [("near", 1_000), ("far", 5_000_000)]
 
 
 def test_peek_interleaved_with_drain():
-    """peek() between steps agrees across flavours and stays observational."""
-    for flavour in ("calendar", "heap"):
-        env = _make_env(flavour)
-        clocks = []
-        for delay in (7, 70, 7_000, 70_000_000):
-            env.schedule_fn(delay, lambda: clocks.append(env.now))
-        while env.peek() is not None:
-            nxt = env.peek()
-            env.step()
-            assert env.now == nxt
-        assert clocks == sorted(clocks) == [7, 70, 7_000, 70_000_000]
-        assert env.peek() is None
+    """peek() between steps names the time the next step() moves to."""
+    env = E.Environment()
+    clocks = []
+    for delay in (7, 70, 7_000, 70_000_000):
+        env.schedule_fn(delay, lambda: clocks.append(env.now))
+    while env.peek() is not None:
+        nxt = env.peek()
+        env.step()
+        assert env.now == nxt
+    assert clocks == sorted(clocks) == [7, 70, 7_000, 70_000_000]
+    assert env.peek() is None
 
 
-def test_flavour_selection_and_escape_hatch():
-    assert _make_env("calendar")._heap is None
-    assert _make_env("heap")._heap == []
-
-
-def test_reset_rewinds_both_flavours():
-    for flavour in ("calendar", "heap"):
-        env = _make_env(flavour)
-        env.schedule_fn(123, lambda: None)
-        env.run()
-        assert (env.now, env.events_scheduled) == (123, 1)
-        env.reset()
-        assert (env.now, env.events_scheduled) == (0, 0)
-        # A second run schedules with the same seq numbering as the first.
-        env.schedule_fn(123, lambda: None)
-        env.run()
-        assert (env.now, env.events_scheduled) == (123, 1)
+def test_reset_rewinds_clock_and_seq():
+    env = E.Environment()
+    env.schedule_fn(123, lambda: None)
+    env.run()
+    assert (env.now, env.events_scheduled) == (123, 1)
+    env.reset()
+    assert (env.now, env.events_scheduled) == (0, 0)
+    # A second run schedules with the same seq numbering as the first.
+    env.schedule_fn(123, lambda: None)
+    env.run()
+    assert (env.now, env.events_scheduled) == (123, 1)

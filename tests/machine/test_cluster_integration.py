@@ -1,5 +1,7 @@
 """Integration tests: puts, gets, acks, and triggered ops through the stack."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,21 @@ class TestConfigContrast:
             return seen[0]
 
         assert one_way(discrete_config()) > one_way(integrated_config())
+
+
+class TestPortalLookup:
+    def test_unallocated_pt_index_reads_as_none(self):
+        node = two_node_cluster()[1]
+        node.post_me(0, MatchEntry(match_bits=1, start=0, length=64))
+        assert node.nic._pt_for(SimpleNamespace(meta={})) is node.ni.pt(0)
+        assert node.nic._pt_for(SimpleNamespace(meta={"pt_index": 7})) is None
+
+    def test_other_lookup_errors_propagate(self, monkeypatch):
+        node = two_node_cluster()[1]
+
+        def broken(index):
+            raise RuntimeError("portal table corrupted")
+
+        monkeypatch.setattr(node.ni, "pt", broken)
+        with pytest.raises(RuntimeError, match="corrupted"):
+            node.nic._pt_for(SimpleNamespace(meta={"pt_index": 0}))
