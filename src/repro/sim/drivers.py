@@ -46,8 +46,7 @@ import random
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.des.engine import Process
-from repro.sim.driver_core import (_PS_PER_MMPS, DriverCore, PendingRequest,
-                                   SizeMix)
+from repro.sim.driver_core import _PS_PER_MMPS, DriverCore, SizeMix
 
 __all__ = [
     "ClosedLoopDriver",
@@ -56,13 +55,6 @@ __all__ = [
     "SizeMix",
     "dedup_channel",
 ]
-
-# Pre-split names: the measurement/reliability core lived in this module
-# as ``_DriverBase``; downstream code (traffic layer, user scenarios)
-# still imports it from here.
-_DriverBase = DriverCore
-_PendingRequest = PendingRequest
-
 
 class OpenLoopDriver(DriverCore):
     """Offered-load generator: puts at ``rate_mmps`` regardless of replies.

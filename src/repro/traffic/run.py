@@ -12,7 +12,7 @@ hand-wiring N drivers per scenario.  Lowering a spec:
    (skip with ``install_sinks=False`` when the scenario installs handler
    channels itself);
 3. run one :class:`_EdgeDriver` per edge — a
-   :class:`~repro.sim.drivers._DriverBase` whose arrival process walks
+   :class:`~repro.sim.driver_core.DriverCore` whose arrival process walks
    the materialised schedule instead of drawing open-loop gaps;
 4. optionally sample fabric queue depth into an attached
    :class:`~repro.sim.metrics.WindowedMetrics` at a fixed period, bounded
@@ -32,7 +32,7 @@ import random
 from typing import Generator, Optional
 
 from repro.portals.matching import MatchEntry
-from repro.sim.drivers import _DriverBase
+from repro.sim.driver_core import DriverCore
 from repro.sim.metrics import Metrics, WindowedMetrics
 from repro.traffic.spec import TraceReplay, TrafficSpec
 from repro.traffic.trace import TraceEvent
@@ -58,12 +58,12 @@ def _materialise(source, rng: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _EdgeDriver(_DriverBase):
+class _EdgeDriver(DriverCore):
     """One edge's load: a driver walking a pre-materialised schedule.
 
     Inherits the whole request path — tracked acked puts, per-request
     MD/EQ, timeout/retry/backoff, finalize reconciliation — from
-    :class:`~repro.sim.drivers._DriverBase`; only the arrival process
+    :class:`~repro.sim.driver_core.DriverCore`; only the arrival process
     differs from :class:`~repro.sim.drivers.OpenLoopDriver`.
     """
 

@@ -3,19 +3,22 @@
 BFS visit and SSSP relax messages crossing node boundaries are applied by
 payload handlers directly (conditional min-update in the handler), saving
 the store-batch-reload round trip through host memory.  Results are
-verified against networkx on the full graph.
+verified against networkx on the full graph.  Only the ground truth,
+:meth:`DistributedGraph.reference_sssp`, imports networkx (the ``[test]``
+extra); the simulation itself does not need it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Generator
 
 from repro.core.handlers import ReturnCode
 from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DistributedGraph"]
 
@@ -97,5 +100,7 @@ class DistributedGraph:
 
     def reference_sssp(self, source) -> dict:
         """networkx ground truth."""
+        import networkx as nx
+
         lengths = nx.single_source_dijkstra_path_length(self.graph, source)
         return {v: lengths.get(v, math.inf) for v in self.graph.nodes}

@@ -1,5 +1,6 @@
 """ZipfSampler: analytic frequencies, determinism, rejection-free draws."""
 
+import math
 import random
 
 import pytest
@@ -110,3 +111,24 @@ class TestDeterminism:
         zipf = ZipfSampler(37, theta=0.95, seed=9)
         for _ in range(5000):
             assert 0 <= zipf.sample() < 37
+
+
+class TestZetanAccuracy:
+    """``_zetan`` sums a 4096-key head and closes the rest analytically."""
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 10**5, 10**6])
+    def test_matches_exactly_rounded_sum(self, n):
+        from repro.sim.zipf import _zetan
+        for theta in (0.0, 0.5, 0.9, 0.99):
+            reference = math.fsum(pow(i, -theta) for i in range(1, n + 1))
+            assert _zetan(n, theta) == pytest.approx(reference, rel=1e-12), \
+                theta
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 4095, 4096])
+    def test_small_key_spaces_keep_the_sequential_sum(self, n):
+        """Up to the head size the value is bit-identical to the plain
+        sequential sum, so small-key-space runs never move."""
+        from repro.sim.zipf import _zetan
+        for theta in (0.0, 0.5, 0.9, 0.99):
+            assert _zetan(n, theta) == \
+                sum(pow(i, -theta) for i in range(1, n + 1))
