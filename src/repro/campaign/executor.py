@@ -2,10 +2,13 @@
 
 Guarantees:
 
-* **Determinism** — every job re-seeds ``random`` and ``numpy.random``
-  from its planner-assigned seed before the scenario runs, so a sweep
-  produces byte-identical results whether it runs serially, with N
-  workers, or resumed across several invocations.
+* **Determinism** — every job re-seeds ``random`` from its
+  planner-assigned seed before the scenario runs, and ``numpy.random``
+  too once numpy is loaded, so a sweep produces byte-identical results
+  whether it runs serially, with N workers, or resumed across several
+  invocations.  The executor never imports numpy itself: a scenario that
+  draws from numpy's global RNG must import numpy at module level, so
+  that it is loaded (and seeded) before the job starts.
 * **Caching** — with a cache attached, finished jobs are skipped on
   re-run (key = scenario + params + code version) and fresh results are
   appended as they complete, so a killed campaign resumes where it died.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,12 +76,10 @@ class CampaignResult:
 
 
 def _seed_rngs(seed: int) -> None:
+    """Seed ``random``, and ``numpy.random`` only if numpy is already loaded."""
     random.seed(seed)
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-        pass
-    else:
+    np = sys.modules.get("numpy")
+    if np is not None:
         np.random.seed(seed % 2**32)
 
 

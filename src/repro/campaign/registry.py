@@ -8,8 +8,10 @@ name, validate and coerce parameter values against the declared
 :class:`Param` specs, and expand grids into jobs.
 
 This module deliberately imports nothing from the rest of ``repro`` so the
-experiment modules can import it without cycles; :func:`load_builtins`
-pulls in the known scenario-providing modules on demand.
+experiment modules can import it without cycles.  :func:`get_scenario`
+imports only the module that registers the requested built-in scenario
+(see :data:`BUILTIN_SCENARIOS`), so a process pays the import time and
+memory of that module alone; :func:`load_builtins` pulls in all of them.
 """
 
 from __future__ import annotations
@@ -29,24 +31,39 @@ __all__ = [
     "scenario",
 ]
 
-#: Modules that register scenarios at import time.  Kept as strings so the
-#: registry stays import-cycle free; extend this list when a new module
-#: grows a scenario.
-BUILTIN_SCENARIO_MODULES = (
-    "repro.experiments.pingpong",
-    "repro.experiments.accumulate",
-    "repro.experiments.broadcast",
-    "repro.experiments.datatype_recv",
-    "repro.experiments.raid_update",
-    "repro.experiments.littles_law",
-    "repro.storage.spc",
-    "repro.apps.simulator",
-    "repro.usecases.kvstore",
-    "repro.sim.scenarios",
-    "repro.sim.serving",
-    "repro.faults.scenarios",
-    "repro.traffic.scenarios",
-)
+#: Built-in scenario name -> the module that registers it at import time.
+#: Kept as strings so the registry stays import-cycle free; add an entry
+#: when a module grows a scenario (a test checks the table against what
+#: the modules actually register).
+BUILTIN_SCENARIOS = {
+    "pingpong": "repro.experiments.pingpong",
+    "accumulate": "repro.experiments.accumulate",
+    "broadcast": "repro.experiments.broadcast",
+    "datatype_recv": "repro.experiments.datatype_recv",
+    "raid_update": "repro.experiments.raid_update",
+    "linerate": "repro.experiments.littles_law",
+    "spc_replay": "repro.storage.spc",
+    "apps_matching": "repro.apps.simulator",
+    "kvstore_insert": "repro.usecases.kvstore",
+    "pingpong_open_load": "repro.sim.scenarios",
+    "incast_load": "repro.sim.scenarios",
+    "permutation_traffic": "repro.sim.scenarios",
+    "kvstore_load": "repro.sim.scenarios",
+    "mixed_tenants": "repro.sim.scenarios",
+    "congested_tenants": "repro.sim.scenarios",
+    "kv_serving": "repro.sim.serving",
+    "tenant_overload": "repro.sim.serving",
+    "ftbcast_faults": "repro.faults.scenarios",
+    "lossy_pingpong": "repro.faults.scenarios",
+    "link_flap_recovery": "repro.faults.scenarios",
+    "incast_transient": "repro.traffic.scenarios",
+    "bursting_load": "repro.traffic.scenarios",
+    "burst_under_flap": "repro.traffic.scenarios",
+    "replay_trace": "repro.traffic.scenarios",
+}
+
+#: Modules that register scenarios, in table order.
+BUILTIN_SCENARIO_MODULES = tuple(dict.fromkeys(BUILTIN_SCENARIOS.values()))
 
 
 class ScenarioError(Exception):
@@ -200,7 +217,17 @@ def load_builtins() -> None:
 
 
 def get_scenario(name: str) -> Scenario:
-    load_builtins()
+    """The scenario called ``name``, importing only the module that owns it.
+
+    Names outside :data:`BUILTIN_SCENARIOS` (or a table entry whose module
+    did not register the name) fall back to :func:`load_builtins`.
+    """
+    if name not in _REGISTRY:
+        module = BUILTIN_SCENARIOS.get(name)
+        if module is not None:
+            importlib.import_module(module)
+        if name not in _REGISTRY:
+            load_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:

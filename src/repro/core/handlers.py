@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.portals.limits import NILimits
 from repro.portals.types import PortalsError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HPUMemory", "HandlerError", "HandlerSet", "ReturnCode"]
 
@@ -88,15 +89,26 @@ class HPUMemory:
     cost model); ``vars`` is a Python-dict convenience view for handler
     state that the mini-ISA programs keep in ``raw`` instead — both are
     persistent across the lifetime of messages on the same binding.
+    The arena is allocated on first access, so a binding whose handlers
+    keep all state in ``vars`` never imports numpy for it.
     """
 
     def __init__(self, size: int):
         if size < 0:
             raise HandlerError("negative HPU memory size")
         self.size = size
-        self.raw = np.zeros(size, dtype=np.uint8)
+        self._raw: Optional[np.ndarray] = None
         self.vars: dict[str, Any] = {}
         self.freed = False
+
+    @property
+    def raw(self) -> np.ndarray:
+        """The zeroed ``uint8`` byte arena (allocated on first access)."""
+        if self._raw is None:
+            import numpy as np
+
+            self._raw = np.zeros(self.size, dtype=np.uint8)
+        return self._raw
 
     def _check(self, offset: int, nbytes: int) -> None:
         if self.freed:
@@ -108,6 +120,8 @@ class HPUMemory:
             )
 
     def write(self, offset: int, data) -> None:
+        import numpy as np
+
         data = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, data.size)
         self.raw[offset : offset + data.size] = data
@@ -127,9 +141,8 @@ class HPUMemory:
 
     def store_u64(self, offset: int, value: int) -> None:
         self._check(offset, 8)
-        self.raw[offset : offset + 8] = np.frombuffer(
-            (value & ((1 << 64) - 1)).to_bytes(8, "little"), dtype=np.uint8
-        )
+        self.raw[offset : offset + 8] = memoryview(
+            (value & ((1 << 64) - 1)).to_bytes(8, "little"))
 
 
 @dataclass
@@ -178,6 +191,4 @@ class HandlerSet:
             return
         self._state_initialized = True
         if self.initial_state is not None and self.hpu_memory is not None:
-            self.hpu_memory.write(
-                0, np.frombuffer(self.initial_state, dtype=np.uint8)
-            )
+            self.hpu_memory.write(0, memoryview(self.initial_state))

@@ -10,15 +10,16 @@ noise model to CPU work (offloaded progress is immune, §4.4.1).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.des.engine import Environment, Timeout
 from repro.des.resources import Resource, Server
 from repro.des.trace import Timeline
 from repro.machine.config import HostParams
 from repro.network.noise import NoNoise
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HostCPU", "HostMemory"]
 
@@ -32,6 +33,8 @@ class HostMemory:
     def __init__(self, size: int):
         if size <= 0:
             raise ValueError("host memory size must be positive")
+        import numpy as np
+
         self.data = np.zeros(size, dtype=np.uint8)
         self._brk = 0
 
@@ -59,6 +62,8 @@ class HostMemory:
             )
 
     def write(self, offset: int, data: np.ndarray) -> None:
+        import numpy as np
+
         data = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, data.size)
         self.data[offset : offset + data.size] = data

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Message", "Packet", "packetize", "reassemble", "reset_msg_ids"]
 
@@ -69,6 +70,8 @@ class Message:
         if self.length < 0:
             raise ValueError(f"negative message length {self.length}")
         if self.payload is not None:
+            import numpy as np
+
             self.payload = np.asarray(self.payload, dtype=np.uint8).ravel()
             if self.payload.size != self.length:
                 raise ValueError(
@@ -77,6 +80,8 @@ class Message:
 
     @classmethod
     def from_bytes(cls, source: int, target: int, data: bytes | np.ndarray, **kw) -> "Message":
+        import numpy as np
+
         arr = np.frombuffer(bytes(data), dtype=np.uint8).copy() if isinstance(
             data, (bytes, bytearray)
         ) else np.asarray(data, dtype=np.uint8).ravel()
@@ -166,6 +171,8 @@ def reassemble(packets: list[Packet]) -> np.ndarray:
         raise ValueError("packets from different messages")
     if message.payload is None:
         raise ValueError("cannot reassemble a modelled (payload-free) message")
+    import numpy as np
+
     out = np.zeros(message.length, dtype=np.uint8)
     seen = np.zeros(message.length, dtype=bool)
     for p in sorted(packets, key=lambda p: p.payload_offset):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -12,6 +13,7 @@ from repro.campaign import (
     run_jobs,
 )
 from repro.campaign.cache import DETERMINISTIC_FIELDS
+from repro.campaign.executor import _seed_rngs
 
 # Two scenarios, tiny grids: fast enough for CI, rich enough to exercise
 # multi-axis expansion and cross-scenario cache sharing.
@@ -129,3 +131,15 @@ def test_scenario_param_validation():
         sc.resolve({"mode": "bogus"})
     with pytest.raises(Exception):
         sc.resolve({"nonexistent": 1})
+
+
+def test_loaded_numpy_global_rng_is_reseeded_per_job():
+    # numpy is loaded in this process, so every job seeds numpy.random.
+    def draw(seed):
+        _seed_rngs(seed)
+        return np.random.random()
+
+    first = draw(1234)
+    np.random.random()  # a previous job's draws must not leak through
+    assert draw(1234) == first
+    assert draw(1235) != first

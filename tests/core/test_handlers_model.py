@@ -56,6 +56,32 @@ class TestHPUMemory:
         mem.store_u64(0, (1 << 64) + 5)  # wraps to 5
         assert mem.load_u64(0) == 5
 
+    def test_bound_but_unused_memory_allocates_no_arena(self):
+        mem = HPUMemory(4096)
+        hs = HandlerSet(hpu_memory=mem)
+        hs.validate(NILimits())
+        hs.ensure_state()
+        mem.vars["count"] = 1
+        with pytest.raises(HandlerError):
+            mem.read(4090, 8)  # bounds are checked before allocating
+        assert mem._raw is None
+
+    def test_arena_is_zeroed_uint8_of_the_declared_size(self):
+        mem = HPUMemory(32)
+        assert mem.raw.dtype == np.uint8 and mem.raw.size == 32
+        assert not mem.raw.any()
+        assert mem.raw is mem.raw  # allocated once
+
+    def test_freed_memory_raises_without_allocating(self):
+        mem = HPUMemory(16)
+        mem.freed = True
+        for access in (lambda: mem.load_u64(0),
+                       lambda: mem.store_u64(0, 1),
+                       lambda: mem.view(0, 1)):
+            with pytest.raises(HandlerError, match="freed"):
+                access()
+        assert mem._raw is None
+
     def test_vars_dict(self):
         mem = HPUMemory(0)
         mem.vars["count"] = 3
