@@ -130,11 +130,27 @@ class SpinNIC(BaselineNIC):
         header_done.succeed(state.extra["mode"])
 
     # -- per-packet path ---------------------------------------------------
+    def _hook_tail(self, hook: Generator, state: _MessageRx,
+                   pkt: Packet) -> Generator:
+        """Header-handler continuation for the RX chain."""
+        yield from hook
+        yield from self._rx_tail(state, pkt)
+
+    def _rx_tail(self, state: _MessageRx, pkt: Packet) -> Generator:
+        """Deposit, bookkeeping and completion of a handler-steered packet.
+
+        The RX chain deposits baseline-mode packets itself and hands only
+        messages with a handler binding to this generator tail.
+        """
+        yield from self._deliver_packet(state, pkt)
+        state.packets_seen += 1
+        if state.complete and not state.finished:
+            state.finished = True
+            yield from self._finish_message(state)
+            del self._rx[state.message.msg_id]
+
     def _deliver_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        mode = state.extra.get("mode", "baseline")
-        if mode == "baseline":
-            yield from super()._deliver_packet(state, pkt)
-            return
+        mode = state.extra["mode"]
         if mode == "undecided":
             # The header handler has not finished yet; payload packets wait
             # (no payload handler may start before the header handler ends).
@@ -148,11 +164,23 @@ class SpinNIC(BaselineNIC):
             return
         self._spin_payload(state, pkt)
 
+    def _deposit_put_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
+        entry = state.match.entry
+        offset = entry.start + state.match.deposit_offset + pkt.payload_offset
+        completion = yield from self.machine.dma.write(
+            offset if self.machine.memory is not None else 0,
+            pkt.payload,
+            nbytes=pkt.payload_len,
+            label=f"rx m{state.message.msg_id}",
+        )
+        state.dma_events.append(completion)
+        state.bytes_seen += pkt.payload_len
+
     def _spin_payload(self, state: _MessageRx, pkt: Packet) -> None:
         """Dispatch one payload packet to the HPU pool (yield-free).
 
         Flow-control checks and the handler-process spawn are synchronous,
-        which lets the fast RX chain call this inline; the generator path
+        which lets the RX chain call this inline; the generator tail
         reaches it through :meth:`_deliver_packet`.
         """
         # Packets without payload skip payload handlers.

@@ -28,7 +28,6 @@ with no arguments; see :meth:`Environment.schedule_fn`).
 
 from __future__ import annotations
 
-import os
 from gc import disable as _gc_disable, enable as _gc_enable
 from gc import isenabled as _gc_isenabled
 from heapq import heappop, heappush
@@ -56,40 +55,6 @@ __all__ = [
 #: rarely needs anything but NORMAL.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-
-# ``os.environ`` lookups go through ``_Environ.__getitem__`` (encode + dict +
-# decode) — measurable on construction-heavy paths that consult fast-path
-# switches per build.  On POSIX CPython the backing ``_data`` dict of encoded
-# keys/values is stable and kept in sync by ``putenv``/``monkeypatch.setenv``,
-# so read it directly; fall back to the mapping API anywhere it is absent.
-_ENV_DATA = getattr(os.environ, "_data", None) if os.name == "posix" else None
-_ENV_KEYS: dict[str, bytes] = {}
-
-
-def _env_get(name: str) -> Optional[str]:
-    """Cheap ``os.environ.get`` honouring live mutation (monkeypatch etc.)."""
-    if _ENV_DATA is None:
-        return os.environ.get(name)
-    key = _ENV_KEYS.get(name)
-    if key is None:
-        _ENV_KEYS[name] = key = os.fsencode(name)
-    raw = _ENV_DATA.get(key)
-    return None if raw is None else os.fsdecode(raw)
-
-
-def env_flag(name: str, default: bool = True) -> bool:
-    """Parse an on/off environment switch.
-
-    ``0``/``false``/``no``/``off`` and the empty string disable (any case);
-    everything else enables.  Shared by the fast-path toggles
-    (``REPRO_FABRIC_FAST_PATH``, ``REPRO_NIC_FAST_RX``) so every switch
-    accepts the same spellings.
-    """
-    value = _env_get(name)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
-
 
 def ns(value: float) -> int:
     """Convert nanoseconds to integer picoseconds (round-to-nearest)."""
@@ -323,8 +288,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         if _inline:
             # Advance the body synchronously, as if it ran inline at the
-            # call site (used by fast paths handing work back to generator
-            # code mid-callback without an Initialize round-trip).
+            # call site (used by callback chains handing work back to
+            # generator code mid-callback without an Initialize round-trip).
             boot = Event.__new__(Event)
             boot.env = env
             boot.callbacks = None
@@ -609,7 +574,7 @@ class Environment:
         """Like :meth:`schedule_callback`, but with no cancellation handle.
 
         The queue entry's payload is the bare callable — no ``_Callback``
-        allocation.  This is the primitive the fast-path chains use: they
+        allocation.  This is the primitive the callback chains use: they
         schedule one hop per kernel event and never cancel.
         """
         if type(delay) is not int:

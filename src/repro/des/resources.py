@@ -182,7 +182,7 @@ class ServeChain:
 
     Push-structure preserving: pseudo-initialize (URGENT), the server's
     real FIFO request/grant event, and a fire-and-forget callback at the
-    serve-timeout position — no process, no generator.  Used by fast paths
+    serve-timeout position — no process, no generator.  Used by the chains
     for fire-and-forget port occupancy (e.g. background DMA staging).
     ``then``, when given, runs right after the service accounting, at the
     position generator code following the serve would run.
@@ -259,8 +259,8 @@ class Store:
 class RateLimiter:
     """Enforces a minimum inter-grant gap (LogGP ``g``).
 
-    Each ``wait_turn()`` call returns an event that fires no earlier than
-    ``gap`` picoseconds after the previous grant.  Grants are FIFO.
+    Each :meth:`claim` takes a grant slot no earlier than ``gap``
+    picoseconds after the previous grant.  Grants are FIFO.
     """
 
     def __init__(self, env: Environment, gap: int):
@@ -273,15 +273,11 @@ class RateLimiter:
     def claim(self) -> int:
         """Synchronously take the next grant slot; returns its absolute time.
 
-        The event-free core of :meth:`wait_turn`: fast paths call this and
-        schedule their own continuation at the returned time.
+        Callers schedule their own continuation at the returned time.
         """
         grant_at = max(self.env._now, self._next_free)
         self._next_free = grant_at + self.gap
         return grant_at
-
-    def wait_turn(self) -> Event:
-        return self.env.timeout(self.claim() - self.env._now)
 
     def reset(self) -> None:
         """Forget the grant history (cluster reuse)."""

@@ -10,9 +10,9 @@ Determinism contract
 Every probabilistic fault draw comes from ``random.Random(plan.seed)``
 owned by the injector — never the process-global RNG — and draws happen
 in kernel-event order (packet dispatch order, handler invocation order).
-Both orders are pinned byte-identical across the fast/slow fabric+NIC
-paths by the existing equivalence contracts, so an identical plan yields
-identical traces on every flavour.
+Both orders are the kernel's push order, which the fabric and NIC
+callback chains share with the generator reference walks the tests keep,
+so an identical plan yields identical traces on either walk.
 Times are given in **nanoseconds** (floats are fine) and converted to the
 integer-picosecond clock at arm time.
 """
@@ -197,7 +197,7 @@ class FaultPlan:
 
     ``seed`` feeds the injector's dedicated ``random.Random`` — the only
     randomness any fault ever consumes — so a plan is byte-reproducible
-    across workers, shards, and fast/slow paths.
+    across workers and shards.
     """
 
     faults: tuple = field(default_factory=tuple)

@@ -150,7 +150,7 @@ class HostCPU:
         position otherwise) and the finish timeout — so timestamps, trace
         spans, and contention order match the generator byte-for-byte.
         What it skips is the generator resumption machinery; scenario
-        fast paths chain through this the way the fabric's ``_TxChain``
+        callback chains go through this the way the fabric's ``_TxChain``
         chains through the wire server.
         """
         req = self.cores.request()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.des.engine import PRIORITY_URGENT, Environment, Event, env_flag
+from repro.des.engine import Environment, Event
 from repro.des.resources import ServeChain, Server
 from repro.network.packets import Message, Packet
 from repro.portals.events import PortalsEvent
@@ -27,10 +27,6 @@ from repro.portals.matching import MatchResult
 from repro.portals.types import EventKind, PortalsError
 
 __all__ = ["BaselineNIC"]
-
-
-def _fast_rx_default() -> bool:
-    return env_flag("REPRO_NIC_FAST_RX")
 
 
 class _MessageRx:
@@ -65,18 +61,17 @@ class _MessageRx:
 class _RxChain:
     """Callback-driven receive pipeline for one non-header packet.
 
-    Push-structure mirror of ``_rx_packet``'s generator path: the pseudo
-    URGENT begin stands in for the process initialize, the match-unit and
+    Push-structure mirror of a generator process per packet (kept as the
+    test-only oracle in ``tests/reference_walks.py``): the synchronous
+    begin stands in for the process initialize, the match-unit and
     memory-port requests are the same FIFO Request events the generator
     would issue, and the service completions are fire-and-forget callbacks
     at the positions of the generator's serve timeouts.  Deposits for
     baseline-mode put/atomic/reply packets run inline; anything needing
     model logic beyond the plain deposit (sPIN handler modes) is handed
-    back to the generator tail via ``process_inline``, which preserves the
-    event order exactly.
-
-    Subclasses of :class:`BaselineNIC` that change ``_deliver_packet``
-    semantics for *baseline-mode* packets must set ``fast_rx = False``.
+    to :class:`~repro.core.nic.SpinNIC`'s generator tails (``_hook_tail``,
+    ``_rx_tail``) via ``process_inline``, which preserves the event order
+    exactly.
     """
 
     __slots__ = ("nic", "pkt", "state", "req", "t0", "bw", "offset", "nbytes",
@@ -246,12 +241,13 @@ class _RxChain:
 class _SendChain:
     """Callback-driven host-send staging pipeline for one message.
 
-    Push-structure mirror of ``_send_now`` with ``from_host=True``: pseudo
-    initialize (URGENT), the DMA request latency, the memory-port fill of
-    the first packet (real FIFO request), the background staging of the
-    remaining bytes (:class:`ServeChain`), then the fabric injection.  The
-    ``done`` event fires at the position the wrapper process would have
-    completed, with the same value (the injection-finish time).
+    Push-structure mirror of a host-send generator process (the test-only
+    oracle in ``tests/reference_walks.py``): the DMA request latency, the
+    memory-port fill of the first packet (real FIFO request), the
+    background staging of the remaining bytes (:class:`ServeChain`), then
+    the fabric injection.  The ``done`` event fires at the position the
+    process would have completed, with the same value (the
+    injection-finish time).
     """
 
     __slots__ = ("nic", "msg", "done", "bw", "req")
@@ -334,10 +330,6 @@ class BaselineNIC:
         self._rx: dict[int, _MessageRx] = {}
         self._rx_name = f"rx[{self.rank}]"
         self._tx_name = f"tx[{self.rank}]"
-        #: Packets take the callback chain (:class:`_RxChain`) instead of a
-        #: generator process; structure-preserving, so traces are identical
-        #: — disable to force the generator path everywhere.
-        self.fast_rx = _fast_rx_default()
         self.messages_received = 0
         self.messages_sent = 0
         #: Non-header packets with no rx state (their header packet was
@@ -391,59 +383,16 @@ class BaselineNIC:
 
     # ------------------------------------------------------------------ RX --
     def on_packet(self, pkt: Packet) -> None:
-        """Fabric delivery entry point (one pipeline per packet)."""
-        if self.fast_rx:
-            # Begin synchronously: match-unit requests join the FIFO in
-            # delivery order either way, and every downstream timestamp is
-            # unchanged — the URGENT 0-delay hop only cost a queue trip.
-            _RxChain(self, pkt)._begin()
-        else:
-            self.env.process(self._rx_packet(pkt), name=self._rx_name)
-
-    def _rx_packet(self, pkt: Packet) -> Generator:
-        msg = pkt.message
-        if pkt.is_header:
-            start = self.env.now
-            yield from self.match_unit.serve(self.params.header_match_ps)
-            self.timeline.record(self.rank, "NIC", start, self.env.now, "match")
-            match = self._match_message(msg)
-            state = _MessageRx(msg, match)
-            self._rx[msg.msg_id] = state
-            hook = self._header_hook(state, pkt)
-            if hook is not None:
-                yield from hook
-        else:
-            start = self.env.now
-            yield from self.match_unit.serve(self.params.cam_lookup_ps)
-            self.timeline.record(self.rank, "NIC", start, self.env.now, "cam")
-            state = self._rx.get(msg.msg_id)
-            if state is None:
-                # Unknown flow (header lost to congestion tail-drop): no
-                # channel to deposit into — drop, as real NICs do.
-                self.rx_orphan_packets += 1
-                return
-
-        yield from self._rx_tail(state, pkt)
-
-    def _rx_tail(self, state: _MessageRx, pkt: Packet) -> Generator:
-        """Everything after matching: deposit, bookkeeping, completion."""
-        yield from self._deliver_packet(state, pkt)
-        state.packets_seen += 1
-        if state.complete and not state.finished:
-            state.finished = True
-            yield from self._finish_message(state)
-            del self._rx[state.message.msg_id]
+        """Fabric delivery entry point (one :class:`_RxChain` per packet)."""
+        # Begin synchronously: match-unit requests join the FIFO in delivery
+        # order, and every downstream timestamp equals the one a process
+        # started at delivery would see.
+        _RxChain(self, pkt)._begin()
 
     def _finish_tail(self, state: _MessageRx) -> Generator:
-        """Completion continuation for the fast RX chain."""
+        """Completion continuation for the RX chain."""
         yield from self._finish_message(state)
         del self._rx[state.message.msg_id]
-
-    def _hook_tail(self, hook: Generator, state: _MessageRx,
-                   pkt: Packet) -> Generator:
-        """Header-handler continuation for the fast RX chain."""
-        yield from hook
-        yield from self._rx_tail(state, pkt)
 
     def _match_message(self, msg: Message) -> Optional[MatchResult]:
         """Route the header through Portals matching (None for ack/reply)."""
@@ -468,52 +417,9 @@ class BaselineNIC:
 
         Called synchronously right after matching; return a generator to
         run timed header work, or None when the message takes the plain
-        deposit path (which lets the fast RX chain stay inline).
+        deposit path (which lets the RX chain stay inline).
         """
         return None
-
-    # -- per-packet data movement ----------------------------------------
-    def _deliver_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        msg = state.message
-        if msg.kind in ("put", "atomic"):
-            if state.match is None or not state.match.matched:
-                state.dropped_bytes += pkt.payload_len
-                pt = self._pt_for(msg)
-                if pt is not None:
-                    pt.record_drop(pkt.payload_len)
-                return
-            yield from self._deposit_put_packet(state, pkt)
-        elif msg.kind == "reply":
-            yield from self._deposit_reply_packet(state, pkt)
-        elif msg.kind in ("get", "ack"):
-            state.bytes_seen += pkt.payload_len  # header-only messages
-        else:
-            raise ValueError(f"unknown message kind {msg.kind!r}")
-
-    def _deposit_put_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        entry = state.match.entry
-        offset = entry.start + state.match.deposit_offset + pkt.payload_offset
-        completion = yield from self.machine.dma.write(
-            offset if self.machine.memory is not None else 0,
-            pkt.payload,
-            nbytes=pkt.payload_len,
-            label=f"rx m{state.message.msg_id}",
-        )
-        state.dma_events.append(completion)
-        state.bytes_seen += pkt.payload_len
-
-    def _deposit_reply_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        msg = state.message
-        md = self.machine.ni.mds.get(msg.meta.get("md_id", -1))
-        base = (md.start if md else 0) + msg.meta.get("reply_offset", 0)
-        completion = yield from self.machine.dma.write(
-            base + pkt.payload_offset,
-            pkt.payload,
-            nbytes=pkt.payload_len,
-            label=f"rx-reply m{msg.msg_id}",
-        )
-        state.dma_events.append(completion)
-        state.bytes_seen += pkt.payload_len
 
     # -- message completion ---------------------------------------------------
     def _finish_message(self, state: _MessageRx) -> Generator:
@@ -570,7 +476,7 @@ class BaselineNIC:
                 match_bits=msg.match_bits,
                 meta={"md_id": msg.meta.get("md_id", -1), "acked_bytes": msg.length},
             )
-            yield from self._send_now(ack, from_host=False)
+            yield self.send(ack, from_host=False)
 
     def _serve_get(self, state: _MessageRx) -> Generator:
         msg = state.message
@@ -608,7 +514,7 @@ class BaselineNIC:
                 "reply_offset": msg.meta.get("reply_offset", 0),
             },
         )
-        yield from self._send_now(reply, from_host=False)
+        yield self.send(reply, from_host=False)
 
     def _complete_initiator(self, msg: Message, kind: EventKind) -> None:
         md = self.machine.ni.mds.get(msg.meta.get("md_id", -1))
@@ -640,31 +546,7 @@ class BaselineNIC:
         if not from_host or msg.length == 0:
             self.messages_sent += 1
             return self.machine.fabric.inject(msg)
-        if self.fast_rx:  # one switch governs both NIC fast paths
-            return _SendChain(self, msg).done
-        return self.env.process(
-            self._send_now(msg, from_host), name=self._tx_name
-        )
-
-    def _send_now(self, msg: Message, from_host: bool) -> Generator:
-        self.messages_sent += 1
-        if from_host and msg.length > 0:
-            yield self.env.timeout(self.machine.dma.latency_ps)
-            first = min(msg.length, self.loggp.mtu)
-            yield from self.machine.mem_port.serve(
-                self.params.dma_per_op_ps + round(first * self.machine.dma.G_eff)
-            )
-            rest = msg.length - first
-            if rest > 0:
-                # Remaining bytes stream behind the wire; account their
-                # memory-port occupancy without blocking injection.
-                self.env.process(
-                    self.machine.mem_port.serve(round(rest * self.machine.dma.G_eff)),
-                    name=self._tx_name,
-                )
-        done = self.machine.fabric.inject(msg)
-        yield done
-        return self.env.now
+        return _SendChain(self, msg).done
 
     # -- misc ------------------------------------------------------------------
     def _pt_for(self, msg: Message):

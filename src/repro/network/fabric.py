@@ -13,24 +13,21 @@ assumes a full-bisection fat tree and LogGP likewise concentrates contention
 at the endpoints.  Receiver-side costs (matching, DMA, handlers) belong to
 the NIC models, not the fabric.
 
-Fast path
----------
+Callback chain
+--------------
 Simulating millions of per-packet events makes TX serialization the kernel's
 hottest pipeline, so messages are transmitted by a callback-driven chain
 (:class:`_TxChain`) instead of a generator process.  The chain is
-**push-structure preserving**: it schedules exactly the kernel events the
-generator path would — the same wire-request grant events (real FIFO
-``Request``s on the wire server, so any number of concurrent messages at one
-NIC interleave packet-by-packet precisely as queued generators would), and
-fire-and-forget callbacks at the positions of the generator's timeouts.
-Traces are byte-for-byte identical (same ``Timeline.canonical_bytes()``,
-same interleaving under timestamp ties) — the golden-trace and
-chain-vs-generator equivalence tests enforce this.  What the chain
-eliminates is the per-packet cost: generator resumption, Event/Timeout
-allocation, and process bookkeeping.
-
-Set ``fast_path=False`` (or ``REPRO_FABRIC_FAST_PATH=0``) to force the
-generator path everywhere.
+**push-structure preserving**: it schedules exactly the kernel events a
+straightforward generator process would — the same wire-request grant
+events (real FIFO ``Request``s on the wire server, so any number of
+concurrent messages at one NIC interleave packet-by-packet precisely as
+queued generators would), and fire-and-forget callbacks at the positions of
+the generator's timeouts.  That generator is kept as a test-only oracle
+(``tests/reference_walks.py``); the equivalence tests compare traces byte for
+byte (same ``Timeline.canonical_bytes()``, same interleaving under timestamp
+ties).  What the chain eliminates is the per-packet cost: generator
+resumption, Event/Timeout allocation, and process bookkeeping.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-from repro.des.engine import PRIORITY_URGENT, Environment, Event, env_flag
+from repro.des.engine import Environment, Event
 from repro.des.resources import RateLimiter, Server
 from repro.des.trace import Timeline
 from repro.network.loggp import NetworkParams
@@ -47,17 +44,13 @@ from repro.network.packets import Message, Packet, packetize
 __all__ = ["Fabric"]
 
 
-def _fast_path_default() -> bool:
-    return env_flag("REPRO_FABRIC_FAST_PATH")
-
-
 class _TxChain:
     """Callback-driven TX pipeline for one message.
 
-    Stage chain, each stage mirroring one kernel event of the generator
-    path (noted in brackets):
+    Stage chain, each stage mirroring one kernel event of the reference
+    generator (noted in brackets):
 
-    ``_start`` [process initialize] → ``_turn`` [wait_turn timeout] →
+    ``_start`` [process initialize] → ``_turn`` [g-slot timeout] →
     per packet: wire request → ``_granted`` [request grant] →
     ``_serve_done`` [serve timeout] → delivery callback; the last boundary
     triggers the done event [process-end event].
@@ -144,13 +137,11 @@ class Fabric:
         topology,
         params: Optional[NetworkParams] = None,
         timeline: Optional[Timeline] = None,
-        fast_path: Optional[bool] = None,
     ):
         self.env = env
         self.topology = topology
         self.params = params or NetworkParams()
         self.timeline = timeline or Timeline(enabled=False)
-        self.fast_path = _fast_path_default() if fast_path is None else fast_path
         self._rx: dict[int, Callable[[Packet], None]] = {}
         self._msg_limiter: dict[int, RateLimiter] = {}
         self._wire: dict[int, Server] = {}
@@ -239,38 +230,11 @@ class Fabric:
                 done.succeed(self.env._now)
                 return done
             raise ValueError(f"source node {src} not attached")
-        if self.fast_path:
-            chain = _TxChain(self, message)
-            # Start synchronously: the g-slot claim happens in inject order
-            # either way, and _turn's timestamp is unchanged — the URGENT
-            # 0-delay hop this used to take bought only a queue round-trip.
-            chain._start()
-            return chain.done
-        return self.env.process(
-            self._send_proc(message), name=f"tx[{src}->{message.target}]"
-        )
-
-    def _send_proc(self, message: Message):
-        loggp = self.params.loggp
-        src = message.source
-        packets = packetize(message, loggp.mtu)
-        self.messages_injected += 1
-        # g: minimum spacing between message starts at this NIC.
-        yield self._msg_limiter[src].wait_turn()
-        latency = self.topology.latency_ps(src, message.target)
-        env = self.env
-        wire = self._wire[src]
-        timeline = self.timeline
-        for pkt in packets:
-            start = env._now
-            yield from wire.serve(loggp.serialization_ps(pkt.wire_bytes))
-            if timeline.enabled:
-                timeline.record(
-                    src, "NIC-tx", start, env._now,
-                    f"m{message.msg_id}p{pkt.seq}",
-                )
-            self._dispatch(pkt, latency)
-        return env.now
+        chain = _TxChain(self, message)
+        # Start synchronously: the g-slot claim happens in inject order and
+        # _turn lands where the reference process's g timeout would.
+        chain._start()
+        return chain.done
 
     def _dispatch(self, pkt: Packet, latency: int) -> None:
         """Forward one serialized packet toward its destination.

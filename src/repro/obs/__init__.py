@@ -27,7 +27,8 @@ site and schedules zero extra kernel events.  The observer itself is a
 pure reader — it never records spans or schedules events — so an
 attached run's ``Timeline.canonical_bytes()`` is byte-identical to a
 detached one, and the exporter is deterministic: identical seed ⇒
-byte-identical trace JSON across both fast-path flavours.
+byte-identical trace JSON, on the callback chains and on the generator
+reference walks the tests keep alike.
 
 Quickstart::
 

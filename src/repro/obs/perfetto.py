@@ -8,11 +8,11 @@ handler executions and packet serialisations are complete-duration
 ``"X"`` events, link queue depth and HPU input-queue depth are counter
 (``"C"``) tracks, and message completions are instant marks.
 
-Determinism: events are built from integer-picosecond streams that are
-flavour-identical (both fast paths — the golden-trace
-and probe-order contracts), sorted on integer keys before the float
-conversion, and serialised with fixed separators and sorted keys — so an
-identical seed produces byte-identical trace JSON everywhere.
+Determinism: events are built from integer-picosecond streams pinned by
+the golden-trace and probe-order contracts, sorted on integer keys
+before the float conversion, and serialised with fixed separators and
+sorted keys — so an identical seed produces byte-identical trace JSON
+everywhere.
 
 Timestamps are microseconds (the trace_event unit): ``ts = ps / 1e6``.
 """

@@ -8,9 +8,10 @@ environment through every scenario API — scenarios keep returning plain
 result dicts.
 
 "Kernel events" are heap entries pushed onto the event queue (timeouts,
-process resumptions, fire-and-forget callbacks).  The fabric fast path is
-push-structure-preserving (see ``network/fabric.py``), so counts are
-comparable across the slow and fast paths and across code versions.
+process resumptions, fire-and-forget callbacks).  The fabric and NIC
+callback chains are push-structure-preserving (see ``network/fabric.py``),
+so counts equal those of the generator walks they replaced and are
+comparable across code versions.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ only per-request objects, and every latency sink is a bounded sketch —
 so the million-client runs fit a fixed RSS budget (asserted in CI via
 ``examples/million_clients.py``).  Determinism contract: all randomness
 flows from ``random.Random(seed)`` / :class:`~repro.sim.zipf.
-ZipfSampler`; byte-identical ``Timeline.canonical_bytes()`` across the
-fast/slow flavours is pinned by the test suite.
+ZipfSampler`; byte-identical ``Timeline.canonical_bytes()`` between the
+callback chains and the generator reference walks is pinned by the test
+suite.
 """
 
 from __future__ import annotations

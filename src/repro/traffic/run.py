@@ -18,8 +18,8 @@ hand-wiring N drivers per scenario.  Lowering a spec:
    :class:`~repro.sim.metrics.WindowedMetrics` at a fixed period, bounded
    by the schedule horizon plus a configurable tail (the sampler is a
    pure reader: it adds kernel callbacks inside traffic runs only and
-   never perturbs model timing, so traces stay byte-identical across
-   fast-path flavours).
+   never perturbs model timing, so span traces stay byte-identical with
+   and without it).
 
 Passing ``record=[]`` appends one
 :class:`~repro.traffic.trace.TraceEvent` per offered request in issue

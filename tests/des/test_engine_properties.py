@@ -7,6 +7,8 @@ from repro.des import Environment, Event, ns
 from repro.des.engine import PRIORITY_NORMAL, PRIORITY_URGENT
 from repro.des.resources import RateLimiter, Resource, Server
 
+from reference_walks import wait_turn
+
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
 def test_callbacks_fire_in_nondecreasing_time_order(delays):
@@ -99,7 +101,7 @@ def test_rate_limiter_minimum_spacing(gap, n):
 
     def sender():
         for _ in range(n):
-            yield limiter.wait_turn()
+            yield wait_turn(limiter)
             grants.append(env.now)
 
     env.process(sender())

@@ -1,11 +1,12 @@
-"""Fast-path ≡ generator-path equivalence.
+"""Callback chains ≡ generator reference walks.
 
 The fabric TX chain, the NIC RX chain, and the host-send chain must be
-*byte-for-byte* trace-equivalent to the generator paths they replace: same
-``Timeline.canonical_bytes()``, same results, same event interleaving under
-timestamp ties.  These tests run every experiment both ways and compare,
-and drive randomized cross-message contention patterns through a raw
-fabric to exercise the FIFO-interleaving machinery.
+*byte-for-byte* trace-equivalent to the generator processes kept in
+``tests/reference_walks.py``: same ``Timeline.canonical_bytes()``, same
+results, same event interleaving under timestamp ties.  These tests run
+every experiment on both walks and compare, and drive randomized
+cross-message contention patterns through a raw fabric to exercise the
+FIFO-interleaving machinery.
 """
 
 import random
@@ -17,16 +18,14 @@ from repro.des.trace import Timeline
 from repro.experiments.accumulate import accumulate_completion_ns
 from repro.experiments.broadcast import broadcast_latency_ns
 from repro.experiments.pingpong import PINGPONG_MODES, pingpong_half_rtt_ns
-from repro.machine.cluster import Cluster
+from repro.machine.nic import BaselineNIC
 from repro.network.fabric import Fabric
 from repro.network.loggp import NetworkParams
 from repro.network.packets import Message
 from repro.network.topology import FatTree
+from repro.sim import ClusterSpec, Session
 
-
-def _set_paths(monkeypatch, enabled: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if enabled else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if enabled else "0")
+import reference_walks
 
 
 def _pingpong(mode, size):
@@ -37,39 +36,39 @@ def _pingpong(mode, size):
 
 @pytest.mark.parametrize("mode", PINGPONG_MODES)
 @pytest.mark.parametrize("size", (64, 8192, 65536))
-def test_pingpong_fast_equals_slow(monkeypatch, mode, size):
-    _set_paths(monkeypatch, True)
+def test_pingpong_fast_equals_slow(select_walk, mode, size):
+    select_walk(False)
     fast = _pingpong(mode, size)
-    _set_paths(monkeypatch, False)
+    select_walk(True)
     slow = _pingpong(mode, size)
     assert fast == slow
 
 
 @pytest.mark.parametrize("mode", ("rdma", "spin"))
-def test_accumulate_fast_equals_slow(monkeypatch, mode):
+def test_accumulate_fast_equals_slow(select_walk, mode):
     def run():
         sink = []
         value = accumulate_completion_ns(16384, mode, "int", timeline_sink=sink)
         return value, sink[0].digest()
 
-    _set_paths(monkeypatch, True)
+    select_walk(False)
     fast = run()
-    _set_paths(monkeypatch, False)
+    select_walk(True)
     slow = run()
     assert fast == slow
 
 
 @pytest.mark.parametrize("mode", ("rdma", "spin"))
-def test_broadcast_fast_equals_slow(monkeypatch, mode):
+def test_broadcast_fast_equals_slow(select_walk, mode):
     """Tree broadcast: parents send back-to-back — the contention path."""
-    _set_paths(monkeypatch, True)
+    select_walk(False)
     fast = broadcast_latency_ns(8, 65536, mode, "int")
-    _set_paths(monkeypatch, False)
+    select_walk(True)
     slow = broadcast_latency_ns(8, 65536, mode, "int")
     assert fast == slow
 
 
-def _run_contention_pattern(seed: int, fast: bool):
+def _run_contention_pattern(seed: int):
     """Random overlapping sends on one NIC; returns (trace bytes, arrivals).
 
     Injection times are dense relative to per-message serialization time,
@@ -81,7 +80,7 @@ def _run_contention_pattern(seed: int, fast: bool):
     env = Environment()
     timeline = Timeline(enabled=True)
     topology = FatTree(params=params, nhosts=4)
-    fabric = Fabric(env, topology, params, timeline=timeline, fast_path=fast)
+    fabric = Fabric(env, topology, params, timeline=timeline)
 
     arrivals = []
     for nid in range(4):
@@ -117,17 +116,18 @@ def _run_contention_pattern(seed: int, fast: bool):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_random_contention_fast_equals_slow(seed):
+def test_random_contention_fast_equals_slow(select_walk, seed):
     """Property: arbitrary contention patterns are trace-identical."""
-    fast_trace, fast_arrivals = _run_contention_pattern(seed, fast=True)
-    slow_trace, slow_arrivals = _run_contention_pattern(seed, fast=False)
+    fast_trace, fast_arrivals = _run_contention_pattern(seed)
+    select_walk(True)
+    slow_trace, slow_arrivals = _run_contention_pattern(seed)
     assert fast_arrivals == slow_arrivals
     assert fast_trace == slow_trace
 
 
 def test_contention_interleaves_packets():
     """Sanity: the pattern actually creates cross-message interleaving."""
-    trace, arrivals = _run_contention_pattern(0, fast=True)
+    trace, arrivals = _run_contention_pattern(0)
     order = [msg_id for _, _, msg_id, _ in arrivals]
     # Some message's packets must be split around another message's.
     interleaved = any(
@@ -137,18 +137,24 @@ def test_contention_interleaves_packets():
     assert interleaved, "contention pattern produced no interleaving"
 
 
-def test_timeline_sink_matches_untraced_results(monkeypatch):
-    """Tracing must not perturb fast-path timings (and vice versa)."""
-    _set_paths(monkeypatch, True)
+def test_timeline_sink_matches_untraced_results():
+    """Tracing must not perturb the chains' timings (and vice versa)."""
     sink = []
     traced = pingpong_half_rtt_ns(65536, "spin_stream", "int", timeline_sink=sink)
     untraced = pingpong_half_rtt_ns(65536, "spin_stream", "int")
     assert traced == untraced
 
 
-def test_cluster_fast_path_defaults_on(monkeypatch):
-    monkeypatch.delenv("REPRO_FABRIC_FAST_PATH", raising=False)
-    monkeypatch.delenv("REPRO_NIC_FAST_RX", raising=False)
-    cluster = Cluster(2)
-    assert cluster.fabric.fast_path
-    assert cluster[0].nic.fast_rx
+def test_select_walk_never_reuses_a_session_built_on_the_other_walk(
+        select_walk):
+    """``Cluster`` binds ``nic.on_packet`` at build time, so a pooled
+    session built on one walk must not serve the other."""
+    spec = ClusterSpec(nodes=2)
+    select_walk(True)
+    ref = Session.checkout(spec)
+    assert ref.cluster.fabric._rx[0].__func__ is reference_walks.nic_on_packet
+    ref.release()
+    select_walk(False)
+    chains = Session.checkout(spec)
+    assert chains is not ref
+    assert chains.cluster.fabric._rx[0].__func__ is BaselineNIC.on_packet

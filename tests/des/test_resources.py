@@ -5,6 +5,8 @@ import pytest
 from repro.des import Environment, SimulationError, ns
 from repro.des.resources import RateLimiter, Resource, Server, Store
 
+from reference_walks import wait_turn
+
 
 class TestResource:
     def test_capacity_one_serializes(self):
@@ -213,7 +215,7 @@ class TestRateLimiter:
 
         def sender(n):
             for _ in range(n):
-                yield limiter.wait_turn()
+                yield wait_turn(limiter)
                 grants.append(env.now)
 
         env.process(sender(3))
@@ -226,10 +228,10 @@ class TestRateLimiter:
         grants = []
 
         def sender():
-            yield limiter.wait_turn()
+            yield wait_turn(limiter)
             grants.append(env.now)
             yield env.timeout(ns(100))  # far beyond the gap
-            yield limiter.wait_turn()
+            yield wait_turn(limiter)
             grants.append(env.now)
 
         env.process(sender())

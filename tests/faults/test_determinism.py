@@ -1,8 +1,9 @@
 """Fault determinism: identical plans replay byte-identically everywhere.
 
 The injector's randomness comes from a dedicated ``random.Random`` whose
-draws happen in kernel-event order; both fast-path flavours pin that
-order, so a faulted run's canonical trace bytes must match across them —
+draws happen in kernel-event order; the callback chains and the
+generator reference walks share that order, so a faulted run's canonical
+trace bytes must match across them —
 and a plan with no faults must leave the trace byte-identical to an
 unfaulted run.
 """
@@ -15,13 +16,10 @@ from repro.sim.drivers import OpenLoopDriver, dedup_channel
 
 TAG = 53
 
-#: Fast-path flavours: chain fabric/NIC paths on (True) or off (False).
+#: Walk flavours: production callback chains (True) or the generator
+#: reference walks from ``tests/reference_walks.py`` (False).
 FLAVOURS = (True, False)
 
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
 
 def _lossy_run(plan):
@@ -44,10 +42,10 @@ def _lossy_run(plan):
                 sess.timeline.canonical_bytes())
 
 
-def test_identical_plan_replays_identically_across_all_flavours(monkeypatch):
+def test_identical_plan_replays_identically_across_all_flavours(select_walk):
     results = []
     for fast in FLAVOURS:
-        _set_flavour(monkeypatch, fast)
+        select_walk(not fast)
         results.append(_lossy_run(FaultPlan(faults=(PacketLoss(0.3),),
                                             seed=23)))
     first = results[0]
@@ -56,22 +54,20 @@ def test_identical_plan_replays_identically_across_all_flavours(monkeypatch):
         assert other == first, f"flavour (fast={fast}) diverged"
 
 
-def test_fault_seed_actually_steers_the_draws(monkeypatch):
-    _set_flavour(monkeypatch, True)
+def test_fault_seed_actually_steers_the_draws():
     a = _lossy_run(FaultPlan(faults=(PacketLoss(0.3),), seed=23))
     b = _lossy_run(FaultPlan(faults=(PacketLoss(0.3),), seed=24))
     assert a[2] != b[2]
 
 
-def test_empty_plan_leaves_trace_byte_identical_to_no_plan(monkeypatch):
-    _set_flavour(monkeypatch, True)
+def test_empty_plan_leaves_trace_byte_identical_to_no_plan():
     unfaulted = _lossy_run(None)
     armed_empty = _lossy_run(FaultPlan())
     assert armed_empty == unfaulted
 
 
 @pytest.mark.parametrize("fast", FLAVOURS)
-def test_same_flavour_rerun_is_bitwise_stable(monkeypatch, fast):
-    _set_flavour(monkeypatch, fast)
+def test_same_flavour_rerun_is_bitwise_stable(select_walk, fast):
+    select_walk(not fast)
     plan = FaultPlan(faults=(PacketLoss(0.3),), seed=23)
     assert _lossy_run(plan) == _lossy_run(plan)

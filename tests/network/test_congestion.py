@@ -4,10 +4,10 @@ The two contracts under test:
 
 * **LogGP reduction** — a single uncontended flow sees exactly the
   delivery times the base fabric computes (satellite of ISSUE 4);
-* **chain/generator equivalence** — the callback fast path and the
-  generator reference path produce identical timings, drops, and link
-  accounting under arbitrary contention (the same contract the base
-  fabric's ``_TxChain`` honours).
+* **chain/generator equivalence** — the callback hop walk and the
+  generator reference in ``tests/reference_walks.py`` produce identical
+  timings, drops, and link accounting under arbitrary contention (the
+  same contract the base fabric's ``_TxChain`` honours).
 """
 
 import random
@@ -35,10 +35,10 @@ def params(mtu=4096, g=ns(6.7), G=20, depth=64, routing="ecmp", radix=4):
     )
 
 
-def make(fabric_cls, p=None, topology=None, fast_path=None):
+def make(fabric_cls, p=None, topology=None):
     env = Environment()
     topo = topology or UniformLatency(latency=ns(100))
-    return env, fabric_cls(env, topo, p or params(), fast_path=fast_path)
+    return env, fabric_cls(env, topo, p or params())
 
 
 def attach_sink(fabric, nid):
@@ -179,7 +179,7 @@ class TestContention:
         assert fabric.packets_delivered == 0
 
 
-def _contended_run(fast_path, topology_kind, seed):
+def _contended_run(topology_kind, seed):
     """A randomized many-flow workload; returns timings + accounting."""
     p = params(depth=3, g=ns(50))
     if topology_kind == "fattree":
@@ -187,7 +187,7 @@ def _contended_run(fast_path, topology_kind, seed):
     else:
         topo = UniformLatency(latency=ns(100))
     env = Environment()
-    fabric = CongestionFabric(env, topo, p, fast_path=fast_path)
+    fabric = CongestionFabric(env, topo, p)
     deliveries = []
     for nid in range(16):
         fabric.attach(
@@ -218,12 +218,14 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("topology_kind", ("xbar", "fattree"))
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_randomized_contention_identical(self, topology_kind, seed):
+    def test_randomized_contention_identical(self, select_walk,
+                                             topology_kind, seed):
         from repro.network.packets import reset_msg_ids
 
         reset_msg_ids()
-        fast = _contended_run(True, topology_kind, seed)
+        fast = _contended_run(topology_kind, seed)
+        select_walk(True)
         reset_msg_ids()
-        slow = _contended_run(False, topology_kind, seed)
+        slow = _contended_run(topology_kind, seed)
         assert fast == slow
         assert fast[2] > 0  # the pattern actually exercised tail-drop

@@ -3,9 +3,9 @@
 An attached observer is a pure reader — the probe slots fire into
 observer-side accumulators only, so the kernel schedules exactly the
 same events and ``Timeline.canonical_bytes()`` stays byte-identical to
-an unobserved run, on both fast-path flavours.
-The exporter on top is deterministic: identical seed ⇒ byte-identical
-Perfetto JSON across both flavours.
+an unobserved run, on the callback chains and on the generator reference
+walks.  The exporter on top is deterministic: identical seed ⇒
+byte-identical Perfetto JSON on both walks.
 """
 
 import pytest
@@ -17,13 +17,10 @@ from repro.sim.drivers import OpenLoopDriver
 
 TAG = 40
 
-#: Fast-path flavours: chain fabric/NIC paths on (True) or off (False).
+#: Walk flavours: production callback chains (True) or the generator
+#: reference walks from ``tests/reference_walks.py`` (False).
 FLAVOURS = (True, False)
 
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
 
 def _incast_run(observe: bool):
@@ -52,10 +49,10 @@ def _incast_run(observe: bool):
         return sess.timeline.canonical_bytes(), trace
 
 
-def test_observed_run_is_trace_identical_across_all_flavours(monkeypatch):
+def test_observed_run_is_trace_identical_across_all_flavours(select_walk):
     results = []
     for fast in FLAVOURS:
-        _set_flavour(monkeypatch, fast)
+        select_walk(not fast)
         unobserved_bytes, _ = _incast_run(observe=False)
         observed_bytes, trace = _incast_run(observe=True)
         assert observed_bytes == unobserved_bytes, (
@@ -113,7 +110,7 @@ def test_config_gates_each_probe_stream():
 
 
 @pytest.mark.parametrize("fast", FLAVOURS)
-def test_same_flavour_rerun_exports_identical_json(monkeypatch, fast):
-    _set_flavour(monkeypatch, fast)
+def test_same_flavour_rerun_exports_identical_json(select_walk, fast):
+    select_walk(not fast)
     (_, a), (_, b) = _incast_run(observe=True), _incast_run(observe=True)
     assert a == b

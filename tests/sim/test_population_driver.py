@@ -18,13 +18,10 @@ from repro.sim import ClosedLoopDriver, Metrics, PopulationDriver, Session
 
 TAG = 33
 
-#: Fast-path flavours: chain fabric/NIC paths on (True) or off (False).
+#: Walk flavours: production callback chains (True) or the generator
+#: reference walks from ``tests/reference_walks.py`` (False).
 FLAVOURS = (True, False)
 
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
 
 def _serve_session(nodes: int = 2, target: int = 1, **overrides) -> Session:
@@ -193,12 +190,12 @@ class TestDeterminism:
         b, *_ = _run_fluid(seed=8)
         assert a != b
 
-    def test_canonical_bytes_identical_across_all_flavours(self, monkeypatch):
+    def test_canonical_bytes_identical_across_all_flavours(self, select_walk):
         """The acceptance contract: a fluid population run is
-        byte-identical across fast/slow."""
+        byte-identical on the chains and the reference walks."""
         results = []
         for fast in FLAVOURS:
-            _set_flavour(monkeypatch, fast)
+            select_walk(not fast)
             summary, _, _, blob = _run_fluid(requests=60, population=6,
                                              think_ns=1500.0, trace=True)
             results.append((summary["completed"], blob))

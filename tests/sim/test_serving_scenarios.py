@@ -13,13 +13,10 @@ from repro.campaign import all_scenarios, get_scenario
 
 SERVING_SCENARIOS = ("kv_serving", "tenant_overload")
 
-#: Fast-path flavours: chain fabric/NIC paths on (True) or off (False).
+#: Walk flavours: production callback chains (True) or the generator
+#: reference walks from ``tests/reference_walks.py`` (False).
 FLAVOURS = (True, False)
 
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
 
 #: Small-but-real kv_serving point used by several tests below: a full
@@ -106,13 +103,13 @@ def test_tenant_overload_aggressor_degrades_itself_most():
     assert aggressor >= max(victims)
 
 
-def test_kv_serving_result_identical_across_all_flavours(monkeypatch):
+def test_kv_serving_result_identical_across_all_flavours(select_walk):
     """Acceptance: the serving scenario is deterministic across the
-    fast/slow flavours — every scalar in the
+    chain/reference walk flavours — every scalar in the
     result dict (latency percentiles included) must agree exactly."""
     results = []
     for fast in FLAVOURS:
-        _set_flavour(monkeypatch, fast)
+        select_walk(not fast)
         results.append(get_scenario("kv_serving").run(KV_SMALL))
     first = results[0]
     assert first["completed"] == 400

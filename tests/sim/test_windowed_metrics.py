@@ -8,13 +8,10 @@ import repro.sim.metrics as metrics_mod
 from repro.sim import ClusterSpec, Metrics, QuantileSketch, Session, WindowedMetrics
 from repro.traffic import BurstyOnOff, TrafficRun, TrafficSpec, all_to_one
 
-#: Fast-path flavours: chain fabric/NIC paths on (True) or off (False).
+#: Walk flavours: production callback chains (True) or the generator
+#: reference walks from ``tests/reference_walks.py`` (False).
 FLAVOURS = (True, False)
 
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
 
 class TestBinEdges:
@@ -187,7 +184,8 @@ class TestLatencyStatsSortedCache:
 
 
 class TestFlavourStability:
-    """The same traffic run bins identically on every flavour combo."""
+    """The same traffic run bins identically on the chains and the
+    reference walks."""
 
     def _run(self):
         spec = TrafficSpec(
@@ -202,10 +200,10 @@ class TestFlavourStability:
         return json.dumps(windows.timeseries(), sort_keys=True)
 
     def test_timeseries_byte_identical_across_flavours(
-            self, monkeypatch):
+            self, select_walk):
         results = []
         for fast in FLAVOURS:
-            _set_flavour(monkeypatch, fast)
+            select_walk(not fast)
             results.append(self._run())
         assert json.loads(results[0])["bins"], "no bins — weak fixture"
         for other, fast in zip(results[1:], FLAVOURS[1:]):
